@@ -50,6 +50,20 @@ class Phase(enum.Enum):
     DONE = "done"  # completion time known
 
 
+# Hot-path aliases.  A module global is one dictionary lookup; an enum
+# member reached through its class also goes through the metaclass.
+_WAITING = Phase.WAITING
+_ISSUED = Phase.ISSUED
+_DONE = Phase.DONE
+_ALU = OpKind.ALU
+_LOAD = OpKind.LOAD
+_STORE = OpKind.STORE
+_LARX = OpKind.LARX
+_STCX = OpKind.STCX
+_ISYNC = OpKind.ISYNC
+_END = OpKind.END
+
+
 class WinOp:
     """One in-flight micro-op in the window."""
 
@@ -74,7 +88,7 @@ class WinOp:
     def __init__(self, op: MicroOp, seq: int):
         self.op = op
         self.seq = seq
-        self.phase = Phase.WAITING
+        self.phase = _WAITING
         self.ready_time = 0
         self.complete_time = 0
         self.commit_time = 0
@@ -94,6 +108,8 @@ class WinOp:
 
 class SlotCursor:
     """Width-limited slot allocator (dispatch/commit bandwidth)."""
+
+    __slots__ = ("width", "_cycle", "_used")
 
     def __init__(self, width: int):
         self.width = width
@@ -138,16 +154,23 @@ class Core:
         self.sle_engine = None  # installed by the system builder
 
         self.window: deque[WinOp] = deque()
+        # Forwarding index: word address -> the window's STORE/STCX ops
+        # to it, oldest first.  Mirrors window membership exactly.
+        self._stores: dict[int, list[WinOp]] = {}
         self.reg_map: dict[int, "WinOp | int"] = {}
         self._retired_regs: dict[int, int] = {}
         self._replay: deque[MicroOp] = deque()
-        self._block: list[MicroOp] | None = None
+        self._block: list[MicroOp] = []
         self._block_pos = 0
         self._await_control: WinOp | None = None
         self._fetch_block: WinOp | None = None
         self._fetch_floor = 0
-        self._fetch_slots = SlotCursor(self.cc.width)
-        self._commit_slots = SlotCursor(self.cc.width)
+        self._next_fetch_slot = SlotCursor(self.cc.width).next_at
+        self._next_commit_slot = SlotCursor(self.cc.width).next_at
+        self._commit_counters = {
+            kind: stats.counter(f"commit.{kind.value}") for kind in OpKind
+        }
+        self._alu_commits = self._commit_counters[_ALU]
         self.sb = StoreBuffer(self.cc.store_buffer)
         self._sb_ready: deque[int] = deque()  # FIFO-parallel commit times
         self._draining = False
@@ -177,10 +200,10 @@ class Core:
         if self.finished:
             return
         while True:
-            before = (self._seq, self.committed)
+            seq, committed = self._seq, self.committed
             self._fetch()
             self._try_commit()
-            if (self._seq, self.committed) == before:
+            if self._seq == seq and self.committed == committed:
                 break
         self._check_finished()
 
@@ -189,42 +212,54 @@ class Core:
     # ------------------------------------------------------------------
 
     def _fetch(self) -> None:
+        window = self.window
+        rob_size = self.cc.rob_size
+        replay = self._replay
         while (
             not self.finished
             and not self._fetch_gate
             and self._await_control is None
             and self._fetch_block is None
-            and len(self.window) < self.cc.rob_size
+            and len(window) < rob_size
         ):
-            op = self._next_op()
-            if op is None:
+            if replay:
+                op = replay.popleft()
+            elif self._block_pos < len(self._block):
+                op = self._block[self._block_pos]
+                self._block_pos += 1
+            elif self._next_block():
+                continue
+            else:
                 return
             self._admit(op)
 
-    def _next_op(self) -> MicroOp | None:
-        if self._replay:
-            return self._replay.popleft()
-        while True:
-            if self._block is not None and self._block_pos < len(self._block):
-                op = self._block[self._block_pos]
-                self._block_pos += 1
-                return op
-            if self._block is not None and self._block[-1].control:
-                # The control result arrives at commit; fetch stalls.
-                return None
-            if self.program_done:
-                return None
-            block = self.program.next_block(None)
-            if block is None:
-                self.program_done = True
-                return None
-            self._block = block
-            self._block_pos = 0
+    def _next_block(self) -> bool:
+        """Take the program's next block once the current one is used up.
+
+        False when fetch has to wait: the block ended in a control op
+        (its result arrives at commit), or the program is done.
+        """
+        if (self._block and self._block[-1].control) or self.program_done:
+            return False
+        block = self.program.next_block(None)
+        if block is None:
+            self.program_done = True
+            return False
+        self._block = block
+        self._block_pos = 0
+        return True
 
     def _admit(self, op: MicroOp) -> None:
         w = WinOp(op, self._seq)
         self._seq += 1
         self.window.append(w)
+        kind = op.kind
+        if kind is _STORE or kind is _STCX:
+            pending = self._stores.get(op.addr)
+            if pending is None:
+                self._stores[op.addr] = [w]
+            else:
+                pending.append(w)
         if self.sle_engine is not None:
             # The engine may mark the op (region membership, safe-isync
             # nop) or abort the active elision region, squashing through
@@ -233,24 +268,28 @@ class Core:
             self.sle_engine.on_fetch(w)
             if w.dead:
                 return
-        fetch_time = self._fetch_slots.next_at(self._fetch_floor)
-        w.ready_time = fetch_time + 1
+        ready = self._next_fetch_slot(self._fetch_floor) + 1
+        reg_map = self.reg_map
         unresolved = 0
         for sreg in op.sregs:
-            producer = self.reg_map.get(sreg)
+            producer = reg_map.get(sreg)
+            if producer is None:
+                continue
             if isinstance(producer, WinOp):
-                if producer.phase is Phase.DONE:
-                    w.ready_time = max(w.ready_time, producer.complete_time)
+                if producer.phase is _DONE:
+                    if producer.complete_time > ready:
+                        ready = producer.complete_time
                 else:
                     producer.dependents.append(w)
                     unresolved += 1
-            elif producer is not None:
-                w.ready_time = max(w.ready_time, producer)
+            elif producer > ready:
+                ready = producer
+        w.ready_time = ready
         if op.dreg is not None:
-            self.reg_map[op.dreg] = w
+            reg_map[op.dreg] = w
         if op.control:
             self._await_control = w
-        if op.kind is OpKind.ISYNC and not w.sle_buffered:
+        if kind is _ISYNC and not w.sle_buffered:
             # Context serialization: fetch stalls until commit.
             # (Inside an elided region the engine marks the op
             # sle_buffered and speculation continues past it, §4.2.2.)
@@ -259,8 +298,21 @@ class Core:
             # pipeline slot.
             self._fetch_block = w
         w.unresolved = unresolved
-        if unresolved == 0:
+        if unresolved:
+            return
+        if kind is not _ALU:
             self._dispatch(w)
+            return
+        # A dependence-free ALU op completes on the spot.  It was just
+        # admitted, so it has no dependents to wake: this is all that
+        # _complete_op would do for it.
+        done = ready + op.latency
+        w.complete_time = done
+        w.phase = _DONE
+        if op.dreg is not None:
+            reg_map[op.dreg] = done
+        if self.sle_engine is not None and self.sle_engine.active:
+            self.sle_engine.on_op_completed(w)
 
     # ------------------------------------------------------------------
     # Dispatch / execute
@@ -268,15 +320,15 @@ class Core:
 
     def _dispatch(self, w: WinOp) -> None:
         kind = w.op.kind
-        if kind is OpKind.ALU:
+        if kind is _ALU:
             self._complete_op(w, w.ready_time + w.op.latency)
-        elif kind is OpKind.STORE:
+        elif kind is _STORE:
             # A store completes when address+data are ready; memory is
             # touched at drain (or at SLE region commit).
             self._complete_op(w, w.ready_time)
-        elif kind in (OpKind.LOAD, OpKind.LARX):
+        elif kind is _LOAD or kind is _LARX:
             self._at_ready(w, self._issue_load)
-        elif kind is OpKind.STCX:
+        elif kind is _STCX:
             self._at_ready(w, self._issue_stcx)
         else:  # ISYNC / SYNC / END
             self._complete_op(w, w.ready_time)
@@ -301,7 +353,7 @@ class Core:
     def _issue_load(self, w: WinOp) -> None:
         now = self.scheduler.now
         addr = w.op.addr
-        if w.op.kind is OpKind.LOAD:
+        if w.op.kind is _LOAD:
             forwarded = self._forward(addr, w)
             if forwarded is not None:
                 w.value = forwarded
@@ -317,8 +369,8 @@ class Core:
             self.stats.add("larx.drain_waits")
             self.scheduler.after(2, lambda: None if w.dead else self._issue_load(w))
             return
-        reserve = w.op.kind is OpKind.LARX
-        allow_spec = w.op.kind is OpKind.LOAD and not w.op.control
+        reserve = w.op.kind is _LARX
+        allow_spec = w.op.kind is _LOAD and not w.op.control
         status, latency, value = self.node.load(
             addr, w, reserve=reserve, allow_spec=allow_spec
         )
@@ -333,18 +385,22 @@ class Core:
             self._complete_op(w, now + latency)
             self._try_commit()
         else:
-            w.phase = Phase.ISSUED
+            w.phase = _ISSUED
 
     def _forward(self, addr: int, w: WinOp) -> int | None:
-        """Store-to-load forwarding from window stores and the SB."""
-        for other in reversed(self.window):
-            if other.seq >= w.seq:
-                continue
-            if other.op.kind is OpKind.STORE and other.op.addr == addr:
-                return other.op.value
-            if other.op.kind is OpKind.STCX and other.op.addr == addr:
-                # Conditional: outcome unknown at forward time; decline.
-                return None
+        """Store-to-load forwarding from window stores and the SB.
+
+        The youngest window STORE/STCX to ``addr`` that is older than
+        ``w`` decides: a store forwards its value, a store-conditional
+        declines (its outcome is unknown at forward time).  With none,
+        the store buffer answers.
+        """
+        pending = self._stores.get(addr)
+        if pending is not None:
+            seq = w.seq
+            for other in reversed(pending):
+                if other.seq < seq:
+                    return other.op.value if other.op.kind is _STORE else None
         return self.sb.forward(addr)
 
     def _issue_stcx(self, w: WinOp) -> None:
@@ -358,7 +414,7 @@ class Core:
                 return
             if verdict == "pending":
                 # The engine completes this op via stcx_resolved().
-                w.phase = Phase.ISSUED
+                w.phase = _ISSUED
                 return
         issued = [False]
 
@@ -382,7 +438,7 @@ class Core:
         if w.dead:
             return
         w.complete_time = time
-        w.phase = Phase.DONE
+        w.phase = _DONE
         if w.op.dreg is not None and self.reg_map.get(w.op.dreg) is w:
             self.reg_map[w.op.dreg] = time
         dependents, w.dependents = w.dependents, []
@@ -443,6 +499,7 @@ class Core:
             r.dead = True
         self._replay.extendleft(r.op for r in reversed(removed))
         self._rebuild_reg_map()
+        self._rebuild_store_index()
         if self._await_control is not None and self._await_control.dead:
             self._await_control = None
         if self._fetch_block is not None and self._fetch_block.dead:
@@ -457,38 +514,61 @@ class Core:
         new_map: dict[int, "WinOp | int"] = dict(self._retired_regs)
         for u in self.window:
             if u.op.dreg is not None:
-                new_map[u.op.dreg] = u.complete_time if u.phase is Phase.DONE else u
+                new_map[u.op.dreg] = u.complete_time if u.phase is _DONE else u
         self.reg_map = new_map
+
+    def _rebuild_store_index(self) -> None:
+        stores: dict[int, list[WinOp]] = {}
+        for u in self.window:
+            kind = u.op.kind
+            if kind is _STORE or kind is _STCX:
+                stores.setdefault(u.op.addr, []).append(u)
+        self._stores = stores
 
     # ------------------------------------------------------------------
     # Commit
     # ------------------------------------------------------------------
 
     def _try_commit(self) -> None:
-        while self.window:
-            w = self.window[0]
-            if w.phase is not Phase.DONE or w.spec_pending or w.sle_blocked:
+        window = self.window
+        next_slot = self._next_commit_slot
+        alu_commits = self._alu_commits
+        retired_regs = self._retired_regs
+        while window:
+            w = window[0]
+            if w.phase is not _DONE or w.spec_pending or w.sle_blocked:
                 return
-            kind = w.op.kind
-            if kind is OpKind.STORE and not w.sle_buffered and self.sb.full:
+            op = w.op
+            kind = op.kind
+            if kind is _STORE and not w.sle_buffered and self.sb.full:
                 return  # resumes when the SB drains
-            ct = self._commit_slots.next_at(w.complete_time)
+            ct = next_slot(w.complete_time)
             w.commit_time = ct
             if ct > self._last_commit_time:
                 self._last_commit_time = ct
-            self.window.popleft()
-            self._retire(w, ct)
+            window.popleft()
+            w.retired = True
+            self.committed += 1
+            if op.dreg is not None:
+                # (reg_map never names a DONE op: completion replaced it.)
+                retired_regs[op.dreg] = w.complete_time
+            if kind is _ALU and not op.control:
+                alu_commits.inc()
+            else:
+                self._retire(w, ct)
 
     def _retire(self, w: WinOp, ct: int) -> None:
+        """Commit bookkeeping of anything but a plain ALU op."""
         op = w.op
-        w.retired = True
-        self.committed += 1
-        self.stats.add(f"commit.{op.kind.value}")
-        if op.dreg is not None:
-            self._retired_regs[op.dreg] = w.complete_time
-            if self.reg_map.get(op.dreg) is w:
-                self.reg_map[op.dreg] = w.complete_time
-        if op.kind is OpKind.STORE and not w.sle_buffered:
+        kind = op.kind
+        self._commit_counters[kind].inc()
+        if kind is _STORE or kind is _STCX:
+            # Commit is in order, so ``w`` is its address's oldest entry.
+            pending = self._stores[op.addr]
+            del pending[0]
+            if not pending:
+                del self._stores[op.addr]
+        if kind is _STORE and not w.sle_buffered:
             self.sb.push(StoreEntry(addr=op.addr, value=op.value, seq=w.seq, pc=op.pc))
             self._sb_ready.append(ct)
             self._schedule_drain()
@@ -499,7 +579,7 @@ class Core:
             self._fetch_floor = max(
                 self._fetch_floor, ct + self.cc.fetch_redirect_penalty
             )
-        if op.kind is OpKind.END:
+        if kind is _END:
             self.program_done = True
 
     # ------------------------------------------------------------------
@@ -598,7 +678,7 @@ class Core:
         engine_active = self.sle_engine is not None and self.sle_engine.active
         if self.window or not self.sb.empty or self._replay or engine_active:
             return
-        if self._block is not None and self._block_pos < len(self._block):
+        if self._block_pos < len(self._block):
             return
         self.finished = True
         # Commits are future-dated virtual times; the program's logical

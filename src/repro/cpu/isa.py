@@ -48,7 +48,7 @@ class OpKind(enum.Enum):
         return self in (OpKind.STORE, OpKind.STCX)
 
 
-@dataclass
+@dataclass(slots=True)
 class MicroOp:
     """One micro-operation as emitted by a thread program."""
 

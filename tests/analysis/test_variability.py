@@ -1,9 +1,15 @@
 """Confidence-interval machinery (Alameldeen-Wood methodology)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro.analysis.variability import ConfidenceInterval, mean_ci, speedup_ci
 
 
@@ -68,3 +74,17 @@ def test_mean_within_interval(samples):
 def test_paired_speedup_of_identical_runs_is_one(samples):
     ci = speedup_ci(samples, list(samples))
     assert ci.mean == pytest.approx(1.0)
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    """scipy.stats is deferred to ``mean_ci``: it dominated import time."""
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    code = "import sys, repro.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
