@@ -5,7 +5,8 @@ required for non-deterministic workloads" [Alameldeen & Wood, HPCA
 2003]: each configuration runs several times with small random timing
 perturbations (our ``MachineConfig.latency_jitter``), and results are
 reported as means with 95% confidence intervals from the Student
-t-distribution.
+t-distribution.  The t quantile is computed here with the standard
+library (:func:`t_quantile`), so the package has no dependencies.
 """
 
 from __future__ import annotations
@@ -41,6 +42,67 @@ class ConfidenceInterval:
         return f"{self.mean:.4f} ± {self.half_width:.4f}"
 
 
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function (modified Lentz)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 1000):
+        for aa in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + aa / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    return h
+
+
+def _beta_regularized(a: float, b: float, x: float) -> float:
+    """The regularized incomplete beta function I_x(a, b)."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log1p(-x)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, 1.0 - x) / b
+
+
+def t_quantile(p: float, df: int) -> float:
+    """The ``p`` quantile (``0.5 <= p < 1``) of Student's t with ``df`` dof.
+
+    Bisects the upper tail ``P(T > t) = I_{df/(df+t^2)}(df/2, 1/2) / 2``
+    to the last bit of a double; agrees with ``scipy.stats.t.ppf`` to a
+    relative 1e-12 or better.
+    """
+    tail = 1.0 - p
+
+    def upper(t: float) -> float:
+        return 0.5 * _beta_regularized(df / 2.0, 0.5, df / (df + t * t))
+
+    lo, hi = 0.0, 1.0
+    while upper(hi) > tail:
+        lo, hi = hi, hi * 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if upper(mid) > tail:
+            lo = mid
+        else:
+            hi = mid
+
+
 def mean_ci(samples: list[float], confidence: float = 0.95) -> ConfidenceInterval:
     """Mean and t-distribution confidence half-width of ``samples``."""
     if not samples:
@@ -51,11 +113,7 @@ def mean_ci(samples: list[float], confidence: float = 0.95) -> ConfidenceInterva
         return ConfidenceInterval(mean=mean, half_width=0.0, n=1, confidence=confidence)
     var = sum((x - mean) ** 2 for x in samples) / (n - 1)
     sem = math.sqrt(var / n)
-    # Imported here, not at module level: ``import repro`` reaches this
-    # module, and scipy.stats is most of the package's import time.
-    from scipy import stats as scipy_stats
-
-    t = scipy_stats.t.ppf(0.5 + confidence / 2, df=n - 1)
+    t = t_quantile(0.5 + confidence / 2, n - 1)
     return ConfidenceInterval(mean=mean, half_width=t * sem, n=n, confidence=confidence)
 
 

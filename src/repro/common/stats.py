@@ -11,6 +11,12 @@ Beyond scalar counters the registry also hosts named
 — miss latencies, bus queue depths, validate-to-reuse distances) and
 :class:`Timer` wall-clock accumulators, created on first use via
 :meth:`StatsRegistry.histogram` / :meth:`StatsRegistry.timer`.
+
+The registry is also the only store of the paper-level metric series:
+:meth:`ScopedStats.counter` / :meth:`ScopedStats.histogram` with a
+metric ``family`` record a :class:`Declaration`, and
+:meth:`repro.obs.metrics.MetricsRegistry.bind_stats` exports each one
+as a read-only view.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import time
 from bisect import bisect_left
 from collections import defaultdict
 from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 def _log2_bounds(limit: float = 2 ** 32) -> tuple[float, ...]:
@@ -179,6 +185,22 @@ class Timer:
         return self.hist.summary()
 
 
+class Declaration(NamedTuple):
+    """One stats counter or histogram declared as a labeled metric series.
+
+    ``kind`` is ``"counter"`` or ``"histogram"``; ``key`` is the full
+    dotted stats name the series reads.  A
+    :class:`~repro.obs.metrics.MetricsRegistry` turns these into export
+    series with ``bind_stats``.
+    """
+
+    kind: str
+    key: str
+    family: str
+    help: str
+    labels: dict
+
+
 class StatsRegistry:
     """A mapping of dotted counter names to integer/float values."""
 
@@ -186,6 +208,9 @@ class StatsRegistry:
         self._counters: dict[str, float] = defaultdict(float)
         self._histograms: dict[str, Histogram] = {}
         self._timers: dict[str, Timer] = {}
+        #: Paper-level series declared through :meth:`ScopedStats.counter`
+        #: / :meth:`ScopedStats.histogram`, in declaration order.
+        self.declarations: list[Declaration] = []
 
     def add(self, name: str, amount: float = 1) -> None:
         """Increment counter ``name`` by ``amount``."""
@@ -352,13 +377,39 @@ class ScopedStats:
         """Read ``prefix.name`` from the backing registry."""
         return self._counters.get(self._prefix + name, default)
 
-    def counter(self, name: str) -> CounterHandle:
-        """Pre-resolved :class:`CounterHandle` for ``prefix.name``."""
-        return CounterHandle(self._counters, self._prefix + name)
+    def counter(
+        self, name: str, family: str | None = None,
+        help: str = "", **labels,  # noqa: A002 - Prometheus calls it "help"
+    ) -> CounterHandle:
+        """Pre-resolved :class:`CounterHandle` for ``prefix.name``.
 
-    def histogram(self, name: str, bounds: Iterable[float] | None = None) -> Histogram:
-        """Get-or-create ``prefix.name`` histogram in the registry."""
-        return self._registry.histogram(self._prefix + name, bounds)
+        With ``family``, the counter is also declared as the series of
+        that metric family with ``labels``; a metrics registry bound to
+        this stats registry exports it (as ``0.0`` if never incremented).
+        """
+        key = self._prefix + name
+        if family is not None:
+            self._registry.declarations.append(
+                Declaration("counter", key, family, help, labels)
+            )
+        return CounterHandle(self._counters, key)
+
+    def histogram(
+        self, name: str, family: str | None = None,
+        help: str = "", bounds: Iterable[float] | None = None,  # noqa: A002
+        **labels,
+    ) -> Histogram:
+        """Get-or-create ``prefix.name`` histogram in the registry.
+
+        ``family`` and ``labels`` declare it as a metric series, as for
+        :meth:`counter`.
+        """
+        key = self._prefix + name
+        if family is not None:
+            self._registry.declarations.append(
+                Declaration("histogram", key, family, help, labels)
+            )
+        return self._registry.histogram(key, bounds)
 
     def timer(self, name: str) -> Timer:
         """Get-or-create ``prefix.name`` timer in the registry."""

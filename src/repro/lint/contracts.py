@@ -59,8 +59,9 @@ METRIC_RECEIVERS = frozenset({"metrics", "_metrics", "registry", "_registry"})
 #: MetricsRegistry family-declaring methods -> index of the name arg.
 METRIC_DECLARERS = {"counter": 0, "gauge": 0, "histogram": 0}
 
-#: Helper functions declaring families -> index of the name arg.
-METRIC_DECLARING_HELPERS = {"bound_counter": 2, "bind_histogram": 1}
+#: Stats-side declarations (``stats.counter(name, family, help,
+#: **labels)`` / ``stats.histogram(...)``) -> index of the family arg.
+METRIC_DECLARING_HELPERS = {"counter": 1, "histogram": 1}
 
 
 def _nondet_fields() -> tuple[str, ...]:
@@ -376,28 +377,18 @@ class ContractCrossCheckRule(Rule):
     def _declared_metric_families(self, ctx: LintContext) -> set[str]:
         declared: set[str] = set()
         for module in ctx.modules:
-            aliases = import_aliases(module.tree)
             for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                     continue
-                func = node.func
-                if isinstance(func, ast.Attribute):
-                    idx = METRIC_DECLARERS.get(func.attr)
-                    if idx is not None:
-                        name = self._name_arg(node, idx, "name")
-                        if name is not None:
-                            declared.add(name)
-                        continue
-                helper = None
-                if isinstance(func, ast.Name):
-                    helper = func.id
-                    origin = aliases.get(func.id, "")
-                    helper = origin.rsplit(".", 1)[-1] if origin else helper
-                elif isinstance(func, ast.Attribute):
-                    helper = func.attr
-                idx = METRIC_DECLARING_HELPERS.get(helper or "")
-                if idx is not None:
-                    name = self._name_arg(node, idx, "name")
+                # The receiver is not resolved: a registry call names the
+                # family first, a stats scope names it second, and either
+                # reading of the other kind only over-approximates.
+                attr = node.func.attr
+                for table, kwarg in (
+                    (METRIC_DECLARERS, "name"), (METRIC_DECLARING_HELPERS, "family"),
+                ):
+                    idx = table.get(attr)
+                    name = self._name_arg(node, idx, kwarg) if idx is not None else None
                     if name is not None:
                         declared.add(name)
         return declared

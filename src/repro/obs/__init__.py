@@ -5,9 +5,9 @@
   bounded ring-buffer mode).  :data:`~repro.obs.tracer.NULL_TRACER` is
   the zero-overhead default every component holds when tracing is off.
 * :class:`~repro.obs.metrics.MetricsRegistry` — named, labeled metric
-  series (counters, gauges, histograms) threaded through the coherence
-  / LVP / SLE layers; exports JSON and Prometheus text.
-  :data:`~repro.obs.metrics.NULL_METRICS` is the no-op default.
+  series (counters, gauges, histograms); exports JSON and Prometheus
+  text.  The coherence / LVP / SLE series are read-only views over the
+  counters those layers declare in the stats registry.
 * :class:`~repro.obs.progress.MatrixProgress` /
   :class:`~repro.obs.progress.RunManifest` — parallel-run telemetry:
   live per-cell progress and the persisted per-cell provenance record.
@@ -28,12 +28,7 @@
   ``repro-sim explain`` command).
 """
 
-from repro.obs.metrics import (
-    NULL_METRICS,
-    MetricFamily,
-    MetricsRegistry,
-    MirroredCounter,
-)
+from repro.obs.metrics import NULL_METRICS, MetricFamily, MetricsRegistry
 from repro.obs.profiler import Heartbeat, SimProfiler
 from repro.obs.progress import CellUpdate, MatrixProgress, RunManifest
 from repro.obs.regress import (
@@ -74,7 +69,6 @@ __all__ = [
     "Tracer",
     "MetricFamily",
     "MetricsRegistry",
-    "MirroredCounter",
     "CellUpdate",
     "MatrixProgress",
     "RunManifest",

@@ -11,18 +11,27 @@ communication misses by cause, validates issued/useful/useless,
 predictor confidence transitions, LVP verify/squash — become queryable
 families instead of string-prefix conventions.
 
-Two design rules keep the simulator's hot path intact:
+The stats registry is the only counter store:
 
-* **Stats stay authoritative.**  Components instrument a site with
-  :meth:`MetricsRegistry.bound_counter`, which mirrors every increment
-  into both the stats counter (which ``summarize()`` and the figures
-  read) and the metric series.  Parity is by construction, not by
-  bookkeeping.
-* **Off by default, at zero cost.**  ``NULL_METRICS`` (the default
-  everywhere, mirroring ``NULL_TRACER``) returns a plain
-  :class:`~repro.common.stats.CounterHandle` from ``bound_counter`` —
-  the stats counter is still bumped, through a *faster* path than the
-  old ``stats.add`` string concatenation, and no series exists.
+* **Components declare series where they create the counter.**
+  ``stats.counter("validates_suppressed", "repro_validates_total",
+  "<help>", node=i, outcome="suppressed")`` returns the plain
+  :class:`~repro.common.stats.CounterHandle` the hot path increments
+  and records the declaration in the stats registry;
+  ``stats.histogram(..., family, help, **labels)`` does the same for a
+  distribution.  Simulator components never see a metrics registry.
+* **The registry reads, it never counts.**  :meth:`MetricsRegistry.bind_stats`
+  (called once per :class:`~repro.system.system.System` that was given
+  a registry) turns every declaration into a read-only
+  :class:`StatsView` over the stats counter, or exports the declared
+  histogram object itself.  A raw ``stats.add`` on a declared counter
+  therefore shows up in the export, and a declared counter that never
+  moved exports as ``0.0``.
+
+Families created directly with :meth:`~MetricsRegistry.counter` /
+:meth:`~MetricsRegistry.gauge` / :meth:`~MetricsRegistry.histogram`
+hold their own values (the job service and the run-summary gauges use
+them); ``NULL_METRICS`` is their no-op stand-in.
 
 Exports: :meth:`MetricsRegistry.to_json` for programmatic diffing and
 :meth:`MetricsRegistry.to_prometheus` for the Prometheus text
@@ -34,10 +43,10 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Iterable
 
-from repro.common.stats import CounterHandle, Histogram
+from repro.common.stats import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
-    from repro.common.stats import ScopedStats
+    from repro.common.stats import StatsRegistry
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -80,13 +89,29 @@ class MetricSeries:
         self.value = value
 
 
+class StatsView:
+    """A read-only counter series backed by one stats counter."""
+
+    __slots__ = ("labels", "_stats", "_key")
+
+    def __init__(self, labels: dict[str, str], stats: "StatsRegistry", key: str):
+        self.labels = labels
+        self._stats = stats
+        self._key = key
+
+    @property
+    def value(self) -> float:
+        """The stats counter's current value (``0.0`` if never touched)."""
+        return self._stats.get(self._key, 0.0)
+
+
 class HistogramSeries:
     """One labeled child of a histogram family.
 
     Wraps a :class:`~repro.common.stats.Histogram` — either a private
-    one, or (via :meth:`MetricsRegistry.bind_histogram`) an *existing*
-    stats histogram, so the distribution a component already records
-    is exported without double bookkeeping.
+    one, or (via :meth:`MetricsRegistry.bind_stats`) the stats
+    histogram a component declared, so the distribution it already
+    records is exported without double bookkeeping.
     """
 
     __slots__ = ("labels", "hist")
@@ -100,35 +125,7 @@ class HistogramSeries:
         self.hist.record(value, n)
 
 
-class MirroredCounter:
-    """Counter handle incrementing a stats counter AND a metric series.
-
-    Drop-in replacement for :class:`~repro.common.stats.CounterHandle`
-    at instrumented sites: one ``inc`` keeps the legacy dotted counter
-    (read by ``summarize()``) and the labeled series in lockstep.
-    """
-
-    __slots__ = ("_counters", "_key", "_series")
-
-    def __init__(self, counters: dict, key: str, series: MetricSeries):
-        self._counters = counters
-        self._key = key
-        self._series = series
-
-    @property
-    def name(self) -> str:
-        """The full dotted stats-counter name this handle mirrors."""
-        return self._key
-
-    def inc(self, amount: float = 1) -> None:
-        """Increment both the stats counter and the metric series."""
-        self._counters[self._key] += amount
-        self._series.value += amount
-
-    @property
-    def value(self) -> float:
-        """Current stats-counter value (equals the series by design)."""
-        return self._counters.get(self._key, 0)
+Series = MetricSeries | StatsView | HistogramSeries
 
 
 class MetricFamily:
@@ -149,20 +146,24 @@ class MetricFamily:
         self.kind = kind
         self.label_names = label_names
         self.bounds = bounds
-        self._series: dict[tuple[str, ...], MetricSeries | HistogramSeries] = {}
+        self._series: dict[tuple[str, ...], Series] = {}
 
-    def labels(self, **labels) -> MetricSeries | HistogramSeries:
-        """The series for one label-value combination (created on first use).
+    def label_key(self, labels: dict) -> tuple[str, ...]:
+        """The stringified label values, in ``label_names`` order.
 
-        Label values are stringified; the keyword names must match the
-        family's ``label_names`` exactly.
+        The keyword names must match the family's ``label_names``
+        exactly.
         """
         if tuple(sorted(labels)) != tuple(sorted(self.label_names)):
             raise ValueError(
                 f"metric {self.name!r} takes labels {sorted(self.label_names)}, "
                 f"got {sorted(labels)}"
             )
-        key = tuple(str(labels[name]) for name in self.label_names)
+        return tuple(str(labels[name]) for name in self.label_names)
+
+    def labels(self, **labels) -> Series:
+        """The series for one label-value combination (created on first use)."""
+        key = self.label_key(labels)
         series = self._series.get(key)
         if series is None:
             label_map = dict(zip(self.label_names, key))
@@ -173,24 +174,7 @@ class MetricFamily:
             self._series[key] = series
         return series
 
-    def attach(self, hist: Histogram, **labels) -> Histogram:
-        """Register an *existing* histogram as this family's series.
-
-        Used by :meth:`MetricsRegistry.bind_histogram` so a component's
-        stats histogram doubles as the exported series.
-        """
-        if self.kind != HISTOGRAM:
-            raise ValueError(f"metric {self.name!r} is not a histogram")
-        if tuple(sorted(labels)) != tuple(sorted(self.label_names)):
-            raise ValueError(
-                f"metric {self.name!r} takes labels {sorted(self.label_names)}, "
-                f"got {sorted(labels)}"
-            )
-        key = tuple(str(labels[name]) for name in self.label_names)
-        self._series[key] = HistogramSeries(dict(zip(self.label_names, key)), hist)
-        return hist
-
-    def series(self) -> Iterable[MetricSeries | HistogramSeries]:
+    def series(self) -> Iterable[Series]:
         """All series in deterministic (label-value) order."""
         return (self._series[key] for key in sorted(self._series))
 
@@ -258,47 +242,24 @@ class MetricsRegistry:
         """Get-or-create a histogram family."""
         return self._register(name, help, HISTOGRAM, labels, bounds)
 
-    # ------------------------------------------------------------------
-    # Component instrumentation
-    # ------------------------------------------------------------------
+    def bind_stats(self, stats: "StatsRegistry") -> None:
+        """Export every series declared in ``stats`` (see the module docstring).
 
-    def bound_counter(
-        self,
-        stats: "ScopedStats",
-        stat_name: str,
-        name: str,
-        help: str = "",  # noqa: A002
-        **labels,
-    ) -> MirroredCounter:
-        """Instrument one stats-counter site as a labeled metric series.
-
-        Returns a handle whose ``inc`` bumps the legacy dotted stats
-        counter (``stats``'s prefix + ``stat_name``) and the series of
-        family ``name`` with the given labels, keeping the two in
-        parity by construction.
+        A declared counter becomes a read-only :class:`StatsView`; a
+        declared histogram is exported as the very object the component
+        records into.  Declaring one series twice is an error.
         """
-        family = self.counter(name, help, labels=tuple(labels))
-        series = family.labels(**labels)
-        handle = stats.counter(stat_name)
-        return MirroredCounter(handle._counters, handle._key, series)
-
-    def bind_histogram(
-        self,
-        hist: Histogram,
-        name: str,
-        help: str = "",  # noqa: A002
-        **labels,
-    ) -> Histogram:
-        """Export an existing stats histogram as a labeled series.
-
-        The component keeps recording into the same
-        :class:`~repro.common.stats.Histogram` object; the registry
-        merely exports it.  Returns ``hist`` so call sites stay
-        one-liners.
-        """
-        family = self.histogram(name, help, labels=tuple(labels))
-        family.attach(hist, **labels)
-        return hist
+        for decl in stats.declarations:
+            family = self._register(decl.family, decl.help, decl.kind, decl.labels)
+            key = family.label_key(decl.labels)
+            if key in family._series:
+                raise ValueError(f"metric {decl.family!r} series {key} declared twice")
+            label_map = dict(zip(family.label_names, key))
+            if decl.kind == HISTOGRAM:
+                hist = stats.get_histogram(decl.key)
+                family._series[key] = HistogramSeries(label_map, hist)
+            else:
+                family._series[key] = StatsView(label_map, stats, decl.key)
 
     # ------------------------------------------------------------------
     # Reading and export
@@ -325,7 +286,7 @@ class MetricsRegistry:
         if family is None:
             return 0.0
         return sum(
-            s.value for s in family.series() if isinstance(s, MetricSeries)
+            s.value for s in family.series() if not isinstance(s, HistogramSeries)
         )
 
     def to_json(self) -> dict:
@@ -409,9 +370,7 @@ class _NullMetrics:
 
     Deliberately *not* a :class:`MetricsRegistry` subclass (same
     pattern as ``NULL_TRACER``): components hold whichever object they
-    were given and never branch.  Crucially, :meth:`bound_counter`
-    still returns a live stats :class:`CounterHandle` — figures depend
-    on the stats counters, which must be counted with metrics off.
+    were given and never branch.
     """
 
     __slots__ = ()
@@ -432,19 +391,9 @@ class _NullMetrics:
         """Return the shared no-op family."""
         return _NULL_FAMILY
 
-    def bound_counter(self, stats: "ScopedStats", stat_name: str, name: str,
-                      help: str = "", **labels) -> CounterHandle:  # noqa: A002
-        """Return a stats-only handle — the counter is still counted."""
-        return stats.counter(stat_name)
-
-    def bind_histogram(self, hist: Histogram, name: str, help: str = "",  # noqa: A002
-                       **labels) -> Histogram:
-        """Return ``hist`` unchanged — nothing is exported."""
-        return hist
-
 
 _NULL_SERIES = _NullSeries()
 _NULL_FAMILY = _NullFamily()
 
-#: Shared no-op registry; the default for every component.
+#: Shared no-op registry for owners of directly counted families.
 NULL_METRICS = _NullMetrics()

@@ -34,8 +34,9 @@ Miss provenance classes (:data:`MISS_CLASSES`):
 Validate accounting distinguishes *reinstalling* broadcasts (at least
 one remote T copy was re-installed — the paper's useful validates)
 from *inert* ones, and reconciles the trace-side totals exactly
-against the :class:`~repro.obs.metrics.MetricsRegistry` counters: both
-sides are incremented by the same code paths, so any mismatch is an
+against the stats counters, read through the
+:class:`~repro.obs.metrics.MetricsRegistry` views over them: the emit
+and the increment sit on the same code paths, so any mismatch is an
 instrumentation bug, not noise.
 """
 
@@ -367,11 +368,13 @@ def _metric_sum(metrics, name: str, **match) -> float:
 
 
 def reconcile(report: ProvenanceReport, metrics) -> list[dict]:
-    """Check the trace-derived totals against the metrics registry.
+    """Check the trace-derived totals against the stats counters.
 
-    Both sides are produced by the same increments (the tracer emit
-    and the mirrored counter sit on the same code path), so every row
-    must match *exactly*; a mismatch is an instrumentation bug.
+    ``metrics`` is the registry bound to the run's stats
+    (``System(..., metrics=...)``); its paper-level series are views
+    over the stats counters, so this compares each tracer emit count
+    with the one counter its code path increments.  Every row must
+    match *exactly*; a mismatch is an instrumentation bug.
     Returns one row per checked quantity:
     ``{"name", "trace", "counter", "ok"}``.
     """

@@ -24,7 +24,7 @@ from repro.coherence.validation import CoherenceChecker
 from repro.cpu.core import Core
 from repro.memory.hierarchy import NodeMemory
 from repro.memory.mainmem import MainMemory
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import Heartbeat
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sle.engine import SLEEngine
@@ -91,9 +91,7 @@ class System:
         self.rng = SplitRng(seed)
         self.scheduler = Scheduler()
         self.stats = StatsRegistry()
-        # Metrics default to the process-wide no-op object, which still
-        # routes bound counters into the stats registry.
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.metrics = metrics
         # Tracing defaults to the process-wide no-op object; a real
         # Tracer is bound to this system's cycle clock.
         if tracer is None:
@@ -111,7 +109,6 @@ class System:
                 jitter=config.latency_jitter,
                 rng=self.rng.split("bus"),
                 tracer=self.tracer,
-                metrics=self.metrics,
             )
         else:
             self.bus = SnoopBus(
@@ -122,11 +119,8 @@ class System:
                 jitter=config.latency_jitter,
                 rng=self.rng.split("bus"),
                 tracer=self.tracer,
-                metrics=self.metrics,
             )
-        self.classifier = MissClassifier(
-            self.stats.scoped("misses"), config.n_procs, metrics=self.metrics
-        )
+        self.classifier = MissClassifier(self.stats.scoped("misses"), config.n_procs)
         programs = workload.build_programs(config, self.rng.split("workload"))
         if len(programs) != config.n_procs:
             raise DeadlockError(
@@ -142,12 +136,11 @@ class System:
             ctrl = CoherenceController(
                 i, config, self.bus, self.memory,
                 self.stats.scoped(f"ctrl{i}"), tracer=self.tracer,
-                metrics=self.metrics,
             )
             node = NodeMemory(
                 i, config, self.scheduler, ctrl,
                 self.stats.scoped(f"node{i}"), classifier=self.classifier,
-                tracer=self.tracer, metrics=self.metrics,
+                tracer=self.tracer,
             )
             core = Core(
                 i, config, self.scheduler, node, programs[i],
@@ -157,7 +150,6 @@ class System:
                 engine = SLEEngine(
                     config, core, node, self.scheduler,
                     self.stats.scoped(f"sle{i}"), tracer=self.tracer,
-                    metrics=self.metrics,
                 )
                 self.engines.append(engine)
             self.controllers.append(ctrl)
@@ -167,6 +159,10 @@ class System:
         # grant; a coherence bug then fails fast at the violating event
         # instead of corrupting results silently.
         self.checker = CoherenceChecker(self) if check_invariants else None
+        # The components declared their paper-level series on the stats
+        # side; a metrics registry exports them as read-only views.
+        if metrics is not None:
+            metrics.bind_stats(self.stats)
 
     def _core_finished(self) -> None:
         self._finished += 1
@@ -228,8 +224,7 @@ class System:
         self._record_summary(cycles, committed)
         return RunResult(
             cycles=cycles, committed=committed, stats=self.stats,
-            config=self.config,
-            metrics=self.metrics if self.metrics is not NULL_METRICS else None,
+            config=self.config, metrics=self.metrics,
         )
 
     def _progress(self) -> dict:
@@ -250,6 +245,8 @@ class System:
         if self.checker is not None:
             self.stats.set("run.invariant_checks", self.checker.checks)
         metrics = self.metrics
+        if metrics is None:
+            return
         metrics.gauge("repro_run_cycles", "Simulated cycles").labels().set(cycles)
         metrics.gauge(
             "repro_run_committed", "Committed micro-ops"

@@ -1,5 +1,7 @@
 """Confidence-interval machinery (Alameldeen-Wood methodology)."""
 
+import json
+import math
 import os
 import pathlib
 import subprocess
@@ -10,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro
-from repro.analysis.variability import ConfidenceInterval, mean_ci, speedup_ci
+from repro.analysis.variability import ConfidenceInterval, mean_ci, speedup_ci, t_quantile
 
 
 def test_single_sample_zero_width():
@@ -77,7 +79,7 @@ def test_paired_speedup_of_identical_runs_is_one(samples):
 
 
 def test_importing_the_cli_does_not_import_scipy():
-    """scipy.stats is deferred to ``mean_ci``: it dominated import time."""
+    """The package computes its t quantiles itself and never loads scipy."""
     src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
@@ -88,3 +90,30 @@ def test_importing_the_cli_does_not_import_scipy():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+T_TABLE = json.loads(
+    (pathlib.Path(__file__).resolve().parent / "data" / "t_quantiles_scipy.json").read_text()
+)["rows"]
+
+
+@pytest.mark.parametrize("df,confidence,expected", T_TABLE)
+def test_t_quantile_matches_scipy_table(df, confidence, expected):
+    assert t_quantile(0.5 + confidence / 2, df) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("confidence", (0.8, 0.9, 0.95, 0.99, 0.999))
+def test_mean_ci_and_speedup_ci_match_scipy_table(confidence):
+    table = {(df, c): t for df, c, t in T_TABLE}
+    for df in (1, 2, 5, 17, 40, 60, 120, 1000):
+        samples = [float(i % 7) for i in range(df + 1)]
+        n = len(samples)
+        mean = sum(samples) / n
+        sem = math.sqrt(sum((x - mean) ** 2 for x in samples) / (n - 1) / n)
+        expected = table[(df, confidence)] * sem
+        assert mean_ci(samples, confidence).half_width == pytest.approx(expected, rel=1e-9)
+        # Paired speedups of runs 1 + x/10 faster than a unit baseline.
+        variant = [1.0 / (1.0 + x / 10) for x in samples]
+        ci = speedup_ci([1.0] * n, variant, confidence)
+        ratio_sem = sem / 10
+        assert ci.half_width == pytest.approx(table[(df, confidence)] * ratio_sem, rel=1e-9)

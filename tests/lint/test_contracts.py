@@ -183,3 +183,40 @@ def test_sl205_passes_read_of_declared_metric_family(tmp_path):
                 return self.metrics.get("repro_cells_total")
     """)
     assert _lint(tmp_path, "SL205").clean
+
+
+def test_sl205_passes_read_of_family_declared_on_the_stats_side(tmp_path):
+    _write(tmp_path, "coherence/ctrl.py", """
+        class Controller:
+            def __init__(self, stats, node_id):
+                self._m_ts = stats.counter(
+                    "ts_stores", "repro_ts_stores_total", "TS stores", node=node_id,
+                )
+                self._hist = stats.histogram(
+                    "queue_depth", family="repro_bus_queue_depth", network="bus",
+                )
+    """)
+    _write(tmp_path, "obs/readback.py", """
+        def ts_stores(metrics):
+            return metrics.get("repro_ts_stores_total", node=0) + metrics.total(
+                "repro_bus_queue_depth"
+            )
+    """)
+    assert _lint(tmp_path, "SL205").clean
+
+
+def test_sl205_flags_read_of_family_no_stats_scope_declares(tmp_path):
+    _write(tmp_path, "coherence/ctrl.py", """
+        class Controller:
+            def __init__(self, stats, node_id):
+                self._m_ts = stats.counter(
+                    "ts_stores", "repro_ts_stores_total", "TS stores", node=node_id,
+                )
+    """)
+    _write(tmp_path, "obs/readback.py", """
+        def ts_stores(metrics):
+            return metrics.get("repro_ts_store_total", node=0)
+    """)
+    result = _lint(tmp_path, "SL205")
+    assert [f.rule for f in result.findings] == ["SL205"]
+    assert "repro_ts_store_total" in result.findings[0].message

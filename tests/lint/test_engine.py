@@ -111,7 +111,7 @@ def test_unknown_rule_id_raises():
 def test_rule_registry_is_stable():
     """The documented rule set: AST + whole-program + audit rules."""
     assert sorted(ALL_RULES) == [
-        "SL001", "SL002", "SL003", "SL004", "SL005", "SL006", "SL007",
+        "SL001", "SL002", "SL003", "SL004", "SL005", "SL006",
         "SL008", "SL009",
         "SL101", "SL102", "SL103", "SL104",
         "SL201", "SL202", "SL203", "SL204", "SL205",

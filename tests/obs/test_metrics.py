@@ -2,9 +2,10 @@
 
 The load-bearing contracts:
 
-* ``bound_counter`` keeps the legacy stats counter and the metric
-  series in lockstep (parity by construction), and ``NULL_METRICS``
-  still counts the stats side;
+* a series declared with ``stats.counter(name, family, ...)`` is a
+  read-only view over that one stats counter once ``bind_stats`` runs:
+  every write to the counter, through the handle or not, is exported,
+  and a counter that never moved exports as ``0.0``;
 * a metrics-enabled run exports the paper-level counters as named
   series whose totals equal the ``summarize()`` fields the figures
   read;
@@ -18,13 +19,8 @@ import json
 
 import pytest
 
-from repro.common.stats import CounterHandle, Histogram, StatsRegistry
-from repro.obs.metrics import (
-    NULL_METRICS,
-    MetricsRegistry,
-    MirroredCounter,
-    _NullMetrics,
-)
+from repro.common.stats import CounterHandle, StatsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry, _NullMetrics
 
 
 class TestRegistry:
@@ -83,39 +79,83 @@ class TestRegistry:
         assert m.get("repro_x_total", node=9) == 0.0
 
 
-class TestMirroredCounter:
-    def test_parity_with_stats(self):
-        registry = StatsRegistry()
-        stats = registry.scoped("ctrl0")
+def _declared_stats():
+    """A stats registry with one declared counter, ready to bind."""
+    registry = StatsRegistry()
+    stats = registry.scoped("ctrl0")
+    handle = stats.counter(
+        "ts_stores", "repro_ts_stores_total", "TS stores", node=0
+    )
+    return registry, stats, handle
+
+
+class TestStatsViews:
+    """Declared stats counters exported as read-only view series."""
+
+    def test_view_reads_the_stats_counter(self):
+        registry, stats, handle = _declared_stats()
+        assert isinstance(handle, CounterHandle)
+        assert handle.name == "ctrl0.ts_stores"
         m = MetricsRegistry()
-        handle = m.bound_counter(
-            stats, "ts_stores", "repro_ts_stores_total", "TS stores", node=0
-        )
-        assert isinstance(handle, MirroredCounter)
+        m.bind_stats(registry)
         handle.inc()
         handle.inc(4)
         assert stats.get("ts_stores") == 5
         assert m.get("repro_ts_stores_total", node=0) == 5
-        assert handle.value == 5
-        assert handle.name == "ctrl0.ts_stores"
+        assert m.total("repro_ts_stores_total") == 5
 
-    def test_null_metrics_still_counts_stats(self):
-        registry = StatsRegistry()
-        stats = registry.scoped("ctrl0")
-        handle = NULL_METRICS.bound_counter(
-            stats, "ts_stores", "repro_ts_stores_total", node=0
-        )
-        assert isinstance(handle, CounterHandle)
+    def test_declaration_counts_stats_without_a_registry(self):
+        registry, stats, handle = _declared_stats()
         handle.inc(3)
         assert stats.get("ts_stores") == 3
+        assert [d.key for d in registry.declarations] == ["ctrl0.ts_stores"]
+
+    def test_raw_stats_writes_on_a_declared_counter_are_exported(self):
+        # The drift a second counter store allowed: an increment that
+        # bypasses the handle must still reach the export.
+        registry, stats, _ = _declared_stats()
+        m = MetricsRegistry()
+        m.bind_stats(registry)
+        stats.add("ts_stores", 2)
+        assert m.get("repro_ts_stores_total", node=0) == 2
+        stats.set("ts_stores", 7)
+        (entry,) = m.to_json()["series"]
+        assert entry["value"] == 7
+        assert 'repro_ts_stores_total{node="0"} 7' in m.to_prometheus()
+
+    def test_never_incremented_counter_exports_float_zero(self):
+        registry, _, _ = _declared_stats()
+        m = MetricsRegistry()
+        m.bind_stats(registry)
+        (entry,) = m.to_json()["series"]
+        assert entry["value"] == 0.0
+        assert isinstance(entry["value"], float)
+        assert "ctrl0.ts_stores" not in registry  # the view created nothing
+
+    def test_view_is_read_only(self):
+        registry, _, _ = _declared_stats()
+        m = MetricsRegistry()
+        m.bind_stats(registry)
+        (family,) = m.families()
+        view = family.labels(node=0)
+        assert not hasattr(view, "inc")
+        assert not hasattr(view, "set")
+
+    def test_same_series_declared_twice_raises(self):
+        registry, stats, _ = _declared_stats()
+        stats.counter("ts_stores_again", "repro_ts_stores_total", node=0)
+        with pytest.raises(ValueError, match="declared twice"):
+            MetricsRegistry().bind_stats(registry)
 
 
 class TestHistogramBinding:
     def test_bind_exports_existing_histogram(self):
+        registry = StatsRegistry()
+        hist = registry.scoped("node0").histogram(
+            "miss_latency", "repro_lat_cycles", "Latency", node=0
+        )
         m = MetricsRegistry()
-        hist = Histogram()
-        bound = m.bind_histogram(hist, "repro_lat_cycles", "Latency", node=0)
-        assert bound is hist  # same object: no double recording
+        m.bind_stats(registry)
         hist.record(8)
         hist.record(100)
         doc = m.to_json()
@@ -123,6 +163,8 @@ class TestHistogramBinding:
         assert entry["name"] == "repro_lat_cycles"
         assert entry["labels"] == {"node": "0"}
         assert entry["histogram"]["count"] == 2
+        (family,) = m.families()
+        assert family.labels(node=0).hist is hist  # no double recording
 
 
 class TestExports:
@@ -132,8 +174,7 @@ class TestExports:
         fam.labels(kind="b").inc(2)
         fam.labels(kind="a").inc()
         m.gauge("repro_level").labels().set(7)
-        hist = m.bind_histogram(Histogram(), "repro_lat", "Lat", node=0)
-        hist.record(3, 2)
+        m.histogram("repro_lat", "Lat", labels=("node",)).labels(node=0).record(3, 2)
         return m
 
     def test_to_json_is_sorted_and_diffable(self):
@@ -159,7 +200,7 @@ class TestExports:
 
     def test_prometheus_histogram_buckets_are_cumulative(self):
         m = MetricsRegistry()
-        hist = m.bind_histogram(Histogram(), "repro_lat", node=0)
+        hist = m.histogram("repro_lat", labels=("node",)).labels(node=0)
         for value in (1, 2, 4, 1000):
             hist.record(value)
         text = m.to_prometheus()
@@ -192,10 +233,6 @@ class TestNullMetrics:
         series.inc()
         series.set(9)
         series.record(3)  # all discarded, nothing raises
-
-    def test_bind_histogram_returns_hist_unchanged(self):
-        hist = Histogram()
-        assert NULL_METRICS.bind_histogram(hist, "repro_lat", node=0) is hist
 
 
 @pytest.fixture(scope="module")
